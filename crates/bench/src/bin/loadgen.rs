@@ -618,3 +618,22 @@ fn main() -> ExitCode {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn latency_json_matches_golden() {
+        let registry = MetricsRegistry::new();
+        registry.histogram_with_buckets("t", &[10, 100]);
+        for us in [5, 50, 500] {
+            registry.observe("t", us);
+        }
+        let h = registry.histogram("t").expect("registered");
+        assert_eq!(
+            latency_json(&h).to_string(),
+            r#"{"count":3,"p50":100,"p90":500,"p99":500,"p999":500,"max":500,"bounds":[10,100],"counts":[1,1,1]}"#
+        );
+    }
+}

@@ -355,4 +355,50 @@ mod tests {
             assert!(judge(&r, &a).is_err(), "{bad}");
         }
     }
+
+    /// The written report: every byte but the rounded ratios pinned, and
+    /// those compared as numbers.
+    #[test]
+    fn verdict_json_matches_golden() {
+        let r = report("\"200\":97,\"503\":3", 9_000, "1000,10000", "90,10,0");
+        let v = judge(&r, &args(0.99, 2, 0.95)).unwrap();
+        let text = verdict_json(&v, &args(0.99, 2, 0.95)).to_string();
+        let parsed = Json::parse(&text).unwrap();
+        let mut masked = text.clone();
+        for key in [
+            "availability\":",
+            "latency_goal\":",
+            "availability_burn\":",
+            "latency_ok_ratio\":",
+            "latency_burn\":",
+        ] {
+            let mut from = 0;
+            while let Some(at) = masked[from..].find(key) {
+                let start = from + at + key.len();
+                let len = masked[start..].find([',', '}']).expect("number ends");
+                masked.replace_range(start..start + len, "#");
+                from = start;
+            }
+        }
+        assert_eq!(
+            masked,
+            concat!(
+                r#"{"targets":{"availability":#,"latency_threshold_ms":2,"latency_goal":#},"#,
+                r#""total":100,"bad":3,"availability":#,"availability_burn":#,"#,
+                r#""fast_enough":90,"latency_ok_ratio":#,"latency_burn":#,"pass":false}"#
+            )
+        );
+        let field = |path: &[&str]| {
+            path.iter()
+                .fold(&parsed, |v, k| v.get(k).expect("field present"))
+                .as_f64()
+                .expect("number")
+        };
+        assert_eq!(field(&["targets", "availability"]), 0.99);
+        assert_eq!(field(&["targets", "latency_goal"]), 0.95);
+        assert_eq!(field(&["availability"]), 0.97);
+        assert_eq!(field(&["availability_burn"]), 3.0);
+        assert_eq!(field(&["latency_ok_ratio"]), 0.9);
+        assert_eq!(field(&["latency_burn"]), 2.0);
+    }
 }

@@ -883,3 +883,193 @@ fn server_handle_is_send() {
     assert_send::<Server>();
     assert_send::<ServerConfig>();
 }
+
+/// `body` with the number after every `"key":` replaced by `#`: timings,
+/// allocation counts and other figures that differ from run to run.
+fn mask(body: &str, keys: &[&str]) -> String {
+    let mut out = body.to_string();
+    for key in keys {
+        let pattern = format!("\"{key}\":");
+        let mut from = 0;
+        while let Some(at) = out[from..].find(&pattern) {
+            let start = from + at + pattern.len();
+            let len = out[start..]
+                .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+                .unwrap_or(out.len() - start);
+            out.replace_range(start..start + len, "#");
+            from = start + 1;
+        }
+    }
+    out
+}
+
+/// Golden response bodies. Every body is compared byte for byte, with
+/// run-dependent figures masked (see [`mask`]); float fields are masked
+/// too and compared as parsed values instead, so their text form may
+/// change without changing what a client reads. The tenant name, the
+/// question and the unroutable paths carry quotes, backslashes, control
+/// characters and non-ASCII text, which pins the escaping of every
+/// string the server echoes.
+#[test]
+fn response_bodies_match_golden_bytes() {
+    let dir = std::env::temp_dir().join(format!("datalab-golden-bodies-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = boot(ServerConfig {
+        data_dir: Some(dir.clone()),
+        fsync: datalab_server::FsyncPolicy::Always,
+        ..ServerConfig::default()
+    });
+    let addr = server.addr();
+    let tenant = "a\"c\\mé";
+    let expect =
+        |(status, _, body): (u16, String, String), want: u16, golden: &str, masked: &[&str]| {
+            assert_eq!(status, want, "{body}");
+            assert_eq!(mask(&body, masked), golden);
+            body
+        };
+
+    let register = datalab_json::json!({"tenant": tenant, "name": "sales", "csv": SALES_CSV});
+    expect(
+        post_traced(addr, "/v1/tables", &register.to_string(), "golden-0"),
+        200,
+        r##"{"ok":true,"tenant":"a\"c\\mé","table":"sales","rows":3}"##,
+        &[],
+    );
+    let question = "draw a bar chart of \"sales\"\tby région\u{1}";
+    let query = datalab_json::json!({"tenant": tenant, "question": question});
+    expect(
+        post_traced(addr, "/v1/query", &query.to_string(), "golden-1"),
+        200,
+        r##"{"tenant":"a\"c\\mé","workload":"adhoc","trace_id":"golden-1","success":true,"degraded":false,"answer":"rendered a default bar chart of sales {\"mark\":\"bar\",\"data\":\"sales\",\"x\":{\"field\":\"region\"},\"y\":{\"field\":\"amount\",\"aggregate\":\"sum\"},\"filters\":[]}","rewritten_query":"draw a bar chart of \"sales\"\tby région\u0001","plan":["vis_agent"],"tokens":1430,"duration_us":#,"cells_appended":2,"chart":true,"rows":null}"##,
+        &["duration_us"],
+    );
+
+    let batch = |key: &str| {
+        datalab_json::json!({"tenant": tenant, "csv": "region,amount\nnorth,7\n", "idempotency_key": key})
+            .to_string()
+    };
+    expect(
+        post_traced(addr, "/v1/tables/sales/rows", &batch("k\"1"), "golden-2"),
+        200,
+        r##"{"ok":true,"tenant":"a\"c\\mé","table":"sales","deduplicated":false,"appended":1,"updated":0,"invalidated_cells":1}"##,
+        &[],
+    );
+    expect(
+        post_traced(addr, "/v1/tables/sales/rows", &batch("k\"1"), "golden-3"),
+        200,
+        r##"{"ok":true,"tenant":"a\"c\\mé","table":"sales","deduplicated":true,"appended":0,"updated":0,"invalidated_cells":0}"##,
+        &[],
+    );
+    expect(
+        get_traced(addr, &format!("/v1/tables?tenant={tenant}"), "golden-4"),
+        200,
+        r##"{"tenant":"a\"c\\mé","count":1,"tables":[{"name":"sales","rows":4,"columns":2}]}"##,
+        &[],
+    );
+
+    expect(
+        get_traced(addr, "/v1/nope\"\t\u{1}é\\", "golden-5"),
+        404,
+        r##"{"error":{"kind":"not_found","detail":"no route for GET /v1/nope\"\t\u0001é\\","trace_id":"golden-5"}}"##,
+        &[],
+    );
+    expect(
+        post_traced(addr, "/v1/tables/s\"é\u{7f}/rows", &batch("k2"), "golden-6"),
+        404,
+        concat!(
+            r##"{"error":{"kind":"table_not_found","detail":"tenant `a\"c\\mé` has no table `s\"é"##,
+            "\u{7f}",
+            r##"`","trace_id":"golden-6"}}"##
+        ),
+        &[],
+    );
+    expect(
+        post_traced(addr, "/v1/query", "{\"tenant\":\"x\",}", "golden-7"),
+        400,
+        r##"{"error":{"kind":"bad_request","detail":"invalid JSON: expected `\"` at byte 14","trace_id":"golden-7"}}"##,
+        &[],
+    );
+
+    let floats = [
+        "availability",
+        "latency_goal",
+        "latency_ok_ratio",
+        "availability_burn",
+        "latency_burn",
+    ];
+    let health = expect(
+        get_traced(addr, "/v1/health", "golden-8"),
+        200,
+        r##"{"status":"ok","uptime_us":#,"sessions":1,"queue_depth":0,"breakers":{"a\"c\\mé":"closed"},"storage":{"read_only":false,"consecutive_failures":0,"flush_errors":0,"fsync_backlog_bytes":0,"last_error":null},"slo_targets":{"availability":#,"latency_threshold_us":2000000,"latency_goal":#},"slo":{"a\"c\\mé":{"fast":{"requests":1,"good":1,"fast_enough":1,"availability":#,"latency_ok_ratio":#,"availability_burn":#,"latency_burn":#},"slow":{"requests":1,"good":1,"fast_enough":1,"availability":#,"latency_ok_ratio":#,"availability_burn":#,"latency_burn":#},"budget_exhausted":false}}}"##,
+        &[&["uptime_us"][..], &floats].concat(),
+    );
+    let h = json(&health);
+    assert_eq!(h["slo_targets"]["availability"], 0.99);
+    assert_eq!(h["slo_targets"]["latency_goal"], 0.95);
+    for window in ["fast", "slow"] {
+        let w = &h["slo"][tenant][window];
+        assert_eq!(w["availability"], 1.0, "{health}");
+        assert_eq!(w["latency_ok_ratio"], 1.0, "{health}");
+        assert_eq!(w["availability_burn"], 0.0, "{health}");
+        assert_eq!(w["latency_burn"], 0.0, "{health}");
+    }
+
+    let timings = [
+        "duration_us",
+        "start_us",
+        "dur_us",
+        "cpu_us",
+        "allocs",
+        "alloc_bytes",
+        "ts",
+        "dur",
+    ];
+    expect(
+        get_traced(addr, "/v1/traces", "golden-9"),
+        200,
+        r##"{"seen":1,"retained":1,"traces":[{"trace_id":"golden-1","tenant":"a\"c\\mé","workload":"adhoc","status":200,"ok":true,"duration_us":#,"reason":"slow","seq":1,"spans":16,"events":0}]}"##,
+        &timings,
+    );
+    expect(
+        get_traced(addr, "/v1/traces/golden-1", "golden-10"),
+        200,
+        concat!(
+            r##"{"trace_id":"golden-1","tenant":"a\"c\\mé","workload":"adhoc","status":200,"ok":true,"duration_us":#,"reason":"slow","spans":["##,
+            r##"{"name":"query","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1","question":"draw a bar chart of \"sales\"\tby région\u0001"},"children":["##,
+            r##"{"name":"rewrite","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1"},"children":[]},"##,
+            r##"{"name":"ground","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1"},"children":[]},"##,
+            r##"{"name":"plan","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1"},"children":["##,
+            r##"{"name":"llm:transport","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1","outcome":"ok","attempts":"1"},"children":[]}]},"##,
+            r##"{"name":"execute","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1","subtasks":"1"},"children":["##,
+            r##"{"name":"agent:vis_agent","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1","context_units":"0"},"children":["##,
+            r##"{"name":"llm:transport","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1","outcome":"ok","attempts":"1"},"children":[]},"##,
+            r##"{"name":"llm:transport","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1","outcome":"ok","attempts":"1"},"children":[]},"##,
+            r##"{"name":"llm:transport","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1","outcome":"ok","attempts":"1"},"children":[]},"##,
+            r##"{"name":"llm:transport","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1","outcome":"ok","attempts":"1"},"children":[]},"##,
+            r##"{"name":"llm:transport","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1","outcome":"ok","attempts":"1"},"children":[]}]}]},"##,
+            r##"{"name":"synthesize","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1"},"children":["##,
+            r##"{"name":"llm:transport","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1","outcome":"ok","attempts":"1"},"children":[]}]},"##,
+            r##"{"name":"notebook","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"trace_id":"golden-1","cells":"2"},"children":[]}]},"##,
+            r##"{"name":"store:fsync","start_us":#,"dur_us":#,"cpu_us":#,"allocs":#,"alloc_bytes":#,"attrs":{"tenant":"a\"c\\mé"},"children":[]}],"events":[],"chrome_trace":{"traceEvents":["##,
+            r##"{"name":"query","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1","question":"draw a bar chart of \"sales\"\tby région\u0001"}},"##,
+            r##"{"name":"rewrite","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1"}},"##,
+            r##"{"name":"ground","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1"}},"##,
+            r##"{"name":"plan","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1"}},"##,
+            r##"{"name":"llm:transport","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1","outcome":"ok","attempts":"1"}},"##,
+            r##"{"name":"execute","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1","subtasks":"1"}},"##,
+            r##"{"name":"agent:vis_agent","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1","context_units":"0"}},"##,
+            r##"{"name":"llm:transport","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1","outcome":"ok","attempts":"1"}},"##,
+            r##"{"name":"llm:transport","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1","outcome":"ok","attempts":"1"}},"##,
+            r##"{"name":"llm:transport","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1","outcome":"ok","attempts":"1"}},"##,
+            r##"{"name":"llm:transport","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1","outcome":"ok","attempts":"1"}},"##,
+            r##"{"name":"llm:transport","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1","outcome":"ok","attempts":"1"}},"##,
+            r##"{"name":"synthesize","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1"}},"##,
+            r##"{"name":"llm:transport","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1","outcome":"ok","attempts":"1"}},"##,
+            r##"{"name":"notebook","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"trace_id":"golden-1","cells":"2"}},"##,
+            r##"{"name":"store:fsync","cat":"datalab","ph":"X","ts":#,"dur":#,"pid":1,"tid":1,"args":{"tenant":"a\"c\\mé"}}],"displayTimeUnit":"ms"}}"##,
+        ),
+        &timings,
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

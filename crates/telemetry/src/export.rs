@@ -243,6 +243,140 @@ mod tests {
         }
     }
 
+    /// A span tree whose names and attributes need every kind of
+    /// escaping: quotes, backslashes, control characters, U+2028 and
+    /// multibyte text.
+    fn awkward_node() -> SpanNode {
+        SpanNode {
+            name: "q\"uery\\ é".into(),
+            start_us: 5,
+            dur_us: 100,
+            cpu_us: 60,
+            allocs: 12,
+            alloc_bytes: 768,
+            attrs: vec![
+                ("q\tk".into(), "say \"hi\"\n\u{1}\u{1f}\u{2028}✓".into()),
+                ("tenant".into(), "café 𝄞".into()),
+            ],
+            children: vec![SpanNode {
+                name: "plan".into(),
+                start_us: 10,
+                dur_us: 20,
+                cpu_us: 0,
+                allocs: 0,
+                alloc_bytes: 0,
+                attrs: vec![],
+                children: vec![],
+            }],
+        }
+    }
+
+    /// Golden bytes of every telemetry export, so the text a client or a
+    /// trace viewer reads cannot drift.
+    #[test]
+    fn exports_match_golden_bytes() {
+        let node = awkward_node();
+        assert_eq!(
+            span_json(&node),
+            concat!(
+                r#"{"name":"q\"uery\\ é","start_us":5,"dur_us":100,"cpu_us":60,"allocs":12,"#,
+                r#""alloc_bytes":768,"attrs":{"q\tk":"say \"hi\"\n\u0001\u001f"#,
+                "\u{2028}",
+                r#"✓","tenant":"café 𝄞"},"children":[{"name":"plan","start_us":10,"dur_us":20,"#,
+                r#""cpu_us":0,"allocs":0,"alloc_bytes":0,"attrs":{},"children":[]}]}"#
+            )
+        );
+        assert_eq!(
+            chrome_trace_json(std::slice::from_ref(&node)),
+            concat!(
+                r#"{"traceEvents":[{"name":"q\"uery\\ é","cat":"datalab","ph":"X","ts":5,"#,
+                r#""dur":100,"pid":1,"tid":1,"args":{"q\tk":"say \"hi\"\n\u0001\u001f"#,
+                "\u{2028}",
+                r#"✓","tenant":"café 𝄞"}},{"name":"plan","cat":"datalab","ph":"X","ts":10,"#,
+                r#""dur":20,"pid":1,"tid":1,"args":{}}],"displayTimeUnit":"ms"}"#
+            )
+        );
+        assert_eq!(
+            chrome_trace_json(&[]),
+            r#"{"traceEvents":[],"displayTimeUnit":"ms"}"#
+        );
+
+        let mut event = crate::events::Event {
+            seq: 7,
+            at_us: 1500,
+            kind: crate::events::EventKind::SandboxFailure,
+            detail: "parse \"bad\"\r\u{0}\u{2028} ü".into(),
+            trace: None,
+        };
+        assert_eq!(
+            event_json(&event),
+            concat!(
+                r#"{"seq":7,"at_us":1500,"kind":"sandbox_failure","detail":"parse \"bad\"\r\u0000"#,
+                "\u{2028}",
+                r#" ü"}"#
+            )
+        );
+        event.trace = Some("req\"9é".into());
+        assert_eq!(
+            event_json(&event),
+            concat!(
+                r#"{"seq":7,"at_us":1500,"kind":"sandbox_failure","detail":"parse \"bad\"\r\u0000"#,
+                "\u{2028}",
+                r#" ü","trace":"req\"9é"}"#
+            )
+        );
+
+        let m = MetricsRegistry::new();
+        m.incr("llm.calls", 2);
+        m.incr("server.tenant.tokens.a\"é", 40);
+        m.gauge_set("server.queue.depth", -5);
+        m.histogram_with_buckets("llm.call_tokens", &[10, 100]);
+        m.observe("llm.call_tokens", 42);
+        m.observe("llm.call_tokens", 7);
+        let attribution = vec![AttributedUsage {
+            stage: "exe\"cute\u{8}".into(),
+            agent: "sql_agent ✓".into(),
+            usage: TokenUsage {
+                prompt_tokens: 40,
+                completion_tokens: 2,
+                calls: 1,
+            },
+        }];
+        assert_eq!(
+            metrics_json(&m.snapshot(), &attribution),
+            concat!(
+                r#"{"counters":{"llm.calls":2,"server.tenant.tokens.a\"é":40},"#,
+                r#""gauges":{"server.queue.depth":-5},"histograms":{"llm.call_tokens":"#,
+                r#"{"bounds":[10,100],"counts":[1,1,0],"count":2,"sum":49,"max":42,"#,
+                r#""p50":10,"p90":42,"p99":42}},"attribution":[{"stage":"exe\"cute\b","#,
+                r#""agent":"sql_agent ✓","calls":1,"prompt_tokens":40,"completion_tokens":2}]}"#
+            )
+        );
+        assert_eq!(
+            metrics_json(&MetricsRegistry::new().snapshot(), &[]),
+            r#"{"counters":{},"gauges":{},"histograms":{},"attribution":[]}"#
+        );
+
+        let summary = crate::summary::QuerySummary {
+            spans: vec![node.children[0].clone()],
+            attribution,
+            total: TokenUsage {
+                prompt_tokens: 40,
+                completion_tokens: 2,
+                calls: 1,
+            },
+        };
+        assert_eq!(
+            summary.to_json(),
+            concat!(
+                r#"{"spans":[{"name":"plan","start_us":10,"dur_us":20,"cpu_us":0,"allocs":0,"#,
+                r#""alloc_bytes":0,"attrs":{},"children":[]}],"attribution":[{"stage":"exe\"cute\b","#,
+                r#""agent":"sql_agent ✓","calls":1,"prompt_tokens":40,"completion_tokens":2}],"#,
+                r#""total":{"prompt_tokens":40,"completion_tokens":2,"calls":1}}"#
+            )
+        );
+    }
+
     #[test]
     fn escape_handles_quotes_and_control_chars() {
         assert_eq!(json_escape("a\"b\\c\nd\te\r"), "a\\\"b\\\\c\\nd\\te\\r");
