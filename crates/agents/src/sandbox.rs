@@ -534,4 +534,33 @@ dropna 9bad",
         let out = run_dscript("# pipeline\nload sales\n\n# the end", &db()).unwrap();
         assert_eq!(out.n_rows(), 3);
     }
+
+    /// A DSL spec's two rule-based compilations return the same frame:
+    /// its dscript through the sandbox and its SQL through the engine,
+    /// for numeric `between` bounds and for a string operand holding `'`.
+    #[test]
+    fn dsl_dscript_and_sql_compilations_agree() {
+        let mut db = db();
+        db.insert(
+            "notes",
+            DataFrame::from_columns(vec![
+                ("note", DataType::Str, vec!["it's".into(), "its".into()]),
+                ("n", DataType::Int, vec![1.into(), 2.into()]),
+            ])
+            .unwrap(),
+        );
+        for text in [
+            r#"{"ConditionList":[{"table":"sales","column":"amount","op":"between","value":[-3,25.50]}],
+                "ProjectionList":[{"table":"sales","column":"region"},{"table":"sales","column":"amount"}]}"#,
+            r#"{"ConditionList":[{"table":"notes","column":"note","op":"=","value":"it's"}],
+                "ProjectionList":[{"table":"notes","column":"n"}]}"#,
+        ] {
+            let spec = datalab_knowledge::validate_dsl_json(text).expect("valid spec");
+            let script = spec.to_dscript();
+            let via_dscript = run_dscript(&script, &db).unwrap_or_else(|e| panic!("{script}\n{e}"));
+            let via_sql = run_sql(&spec.to_sql(None), &db).expect("SQL runs");
+            assert_eq!(via_dscript, via_sql, "{script}");
+            assert!(via_sql.n_rows() > 0, "{script}");
+        }
+    }
 }

@@ -403,22 +403,12 @@ impl DslSpec {
         }
         for c in &self.condition_list {
             let line = if c.op == "between" {
-                let arr = c.value.as_array().cloned().unwrap_or_default();
-                let lo = arr
-                    .first()
-                    .and_then(|v| v.as_str().map(String::from))
-                    .unwrap_or_default();
-                let hi = arr
-                    .get(1)
-                    .and_then(|v| v.as_str().map(String::from))
-                    .unwrap_or_default();
-                format!("filter {} between '{lo}' '{hi}'", c.column)
+                let arr = c.value.as_arr().unwrap_or_default();
+                let lo = arr.first().map(json_sql).unwrap_or_else(|| "NULL".into());
+                let hi = arr.get(1).map(json_sql).unwrap_or_else(|| "NULL".into());
+                format!("filter {} between {lo} {hi}", c.column)
             } else if c.value.is_string() {
-                format!(
-                    "filter {} == '{}'",
-                    c.column,
-                    c.value.as_str().unwrap_or("")
-                )
+                format!("filter {} == {}", c.column, json_sql(&c.value))
             } else {
                 let op = if c.op == "=" { "==" } else { c.op.as_str() };
                 format!("filter {} {op} {}", c.column, c.value)
