@@ -25,6 +25,7 @@
 //! Gate violations exit 1; usage errors exit 2.
 
 use datalab_bench::telemetry_dir;
+use datalab_json::json;
 use datalab_workloads::{
     render_crash_report, run_crash_recovery, CrashConfig, CrashInjection, CrashReport,
 };
@@ -174,14 +175,12 @@ fn run() -> Result<u8, String> {
             .map_err(|e| format!("cannot create target/telemetry: {e}"))?
             .join("crash_recovery.json"),
     };
-    let body: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-    let report_json = format!(
-        "{{\"seed\":{},\"tasks_per_workload\":{},\"scenarios\":[{}]}}",
-        args.seed,
-        args.tasks_per_workload,
-        body.join(",")
-    );
-    std::fs::write(&path, report_json)
+    let report = json!({
+        "seed": args.seed,
+        "tasks_per_workload": args.tasks_per_workload,
+        "scenarios": reports,
+    });
+    std::fs::write(&path, report.to_string())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!("crash recovery report written: {}", path.display());
 

@@ -23,7 +23,7 @@
 
 use datalab_bench::telemetry_dir;
 use datalab_core::{ChaosConfig, DataLabConfig, LATENCY_BUCKETS_US};
-use datalab_json::escape as json_escape;
+use datalab_json::{json, Map};
 use datalab_server::{Json, Server, ServerConfig};
 use datalab_telemetry::{CountingAlloc, HistogramSnapshot, MetricsRegistry};
 use datalab_workloads::request_corpus;
@@ -190,24 +190,45 @@ fn http(
     Ok((status, body.to_string()))
 }
 
-/// Serialises a latency histogram for the JSON report. Bucket bounds
-/// and counts ride along so downstream tools (the SLO report) can
-/// compute threshold fractions, not just read the fixed percentiles.
-fn latency_json(h: &HistogramSnapshot) -> String {
-    let bounds: Vec<String> = h.bounds.iter().map(u64::to_string).collect();
-    let counts: Vec<String> = h.counts.iter().map(u64::to_string).collect();
-    format!(
-        "{{\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\"max\":{},\
-         \"bounds\":[{}],\"counts\":[{}]}}",
-        h.count,
-        h.p50(),
-        h.p90(),
-        h.p99(),
-        h.p999(),
-        h.max,
-        bounds.join(","),
-        counts.join(",")
-    )
+/// A latency histogram for the JSON report. Bucket bounds and counts
+/// ride along so downstream tools (the SLO report) can compute
+/// threshold fractions, not just read the fixed percentiles.
+fn latency_json(h: &HistogramSnapshot) -> Json {
+    json!({
+        "count": h.count,
+        "p50": h.p50(),
+        "p90": h.p90(),
+        "p99": h.p99(),
+        "p999": h.p999(),
+        "max": h.max,
+        "bounds": h.bounds,
+        "counts": h.counts,
+    })
+}
+
+/// Response counts keyed by HTTP status (`0` for transport errors), in
+/// numeric order.
+fn status_json(statuses: &BTreeMap<u16, u64>) -> Json {
+    let mut fields = Map::new();
+    for (status, count) in statuses {
+        fields.push(status.to_string(), json!(count));
+    }
+    Json::Object(fields)
+}
+
+/// One slice of the run (reads or writes): requests sent, their status
+/// counts, error taxonomy and latency.
+fn side_json(
+    statuses: &BTreeMap<u16, u64>,
+    errors: &BTreeMap<String, u64>,
+    latency: &HistogramSnapshot,
+) -> Json {
+    json!({
+        "sent": latency.count,
+        "statuses": status_json(statuses),
+        "errors": errors,
+        "latency_us": latency_json(latency),
+    })
 }
 
 /// Extracts `error.kind` from an error body, tolerating non-JSON.
@@ -259,12 +280,8 @@ fn run() -> Result<u8, String> {
     // Register the corpus tables up front (not counted in the report).
     let corpus = request_corpus(args.seed, args.tasks);
     for table in &corpus.tables {
-        let body = format!(
-            "{{\"tenant\":\"{}\",\"name\":\"{}\",\"csv\":\"{}\"}}",
-            json_escape(&table.tenant),
-            json_escape(&table.name),
-            json_escape(&table.csv)
-        );
+        let body =
+            json!({"tenant": table.tenant, "name": table.name, "csv": table.csv}).to_string();
         let (status, response) = http(&addr, "POST", "/v1/tables", Some(&body), None)?;
         if status != 200 {
             return Err(format!(
@@ -335,7 +352,6 @@ fn run() -> Result<u8, String> {
             let is_write = write_rate > 0.0
                 && ((slot + 1) as f64 * write_rate).floor() > (slot as f64 * write_rate).floor();
             let trace = format!("loadgen-{slot}");
-            let begun = Instant::now();
             let (method, path, body, workload) = if is_write {
                 let target = &ingest_targets[slot % ingest_targets.len()];
                 let csv = format!(
@@ -346,11 +362,8 @@ fn run() -> Result<u8, String> {
                 (
                     "POST".to_string(),
                     format!("/v1/tables/{}/rows", target.name),
-                    format!(
-                        "{{\"tenant\":\"{}\",\"csv\":\"{}\",\"idempotency_key\":\"loadgen-{slot}\"}}",
-                        json_escape(&target.tenant),
-                        json_escape(&csv)
-                    ),
+                    json!({"tenant": target.tenant, "csv": csv, "idempotency_key": trace})
+                        .to_string(),
                     "ingest".to_string(),
                 )
             } else {
@@ -358,26 +371,33 @@ fn run() -> Result<u8, String> {
                 (
                     "POST".to_string(),
                     "/v1/query".to_string(),
-                    format!(
-                        "{{\"tenant\":\"{}\",\"workload\":\"{}\",\"question\":\"{}\"}}",
-                        json_escape(&request.tenant),
-                        json_escape(&request.workload),
-                        json_escape(&request.question)
-                    ),
+                    json!({
+                        "tenant": request.tenant,
+                        "workload": request.workload,
+                        "question": request.question,
+                    })
+                    .to_string(),
                     request.workload.clone(),
                 )
             };
-            let sample = match http(&addr, &method, &path, Some(&body), Some(&trace)) {
+            let result = http(&addr, &method, &path, Some(&body), Some(&trace));
+            // Latency counts from the scheduled fire time, so a request
+            // that left late because every thread was busy still shows
+            // its wait (no coordinated omission).
+            let latency_us = Instant::now()
+                .saturating_duration_since(fire_at)
+                .as_micros() as u64;
+            let sample = match result {
                 Ok((status, response)) => Sample {
                     status,
-                    latency_us: begun.elapsed().as_micros() as u64,
+                    latency_us,
                     workload,
                     write: is_write,
                     error_kind: (status != 200).then(|| error_kind(&response)),
                 },
                 Err(e) => Sample {
                     status: 0,
-                    latency_us: begun.elapsed().as_micros() as u64,
+                    latency_us,
                     workload,
                     write: is_write,
                     error_kind: Some(format!("transport: {e}")),
@@ -525,56 +545,30 @@ fn run() -> Result<u8, String> {
             .map_err(|e| format!("cannot create target/telemetry: {e}"))?
             .join("loadgen_report.json"),
     };
-    let status_json = |m: &BTreeMap<u16, u64>| {
-        let parts: Vec<String> = m
-            .iter()
-            .map(|(status, count)| format!("\"{status}\":{count}"))
-            .collect();
-        format!("{{{}}}", parts.join(","))
-    };
-    let taxonomy_json = |m: &BTreeMap<String, u64>| {
-        let parts: Vec<String> = m
-            .iter()
-            .map(|(kind, count)| format!("\"{}\":{count}", json_escape(kind)))
-            .collect();
-        format!("{{{}}}", parts.join(","))
-    };
-    let side_json = |statuses: &BTreeMap<u16, u64>,
-                     taxonomy: &BTreeMap<String, u64>,
-                     latency: &HistogramSnapshot| {
-        format!(
-            "{{\"sent\":{},\"statuses\":{},\"errors\":{},\"latency_us\":{}}}",
-            latency.count,
-            status_json(statuses),
-            taxonomy_json(taxonomy),
-            latency_json(latency)
-        )
-    };
-    let per_workload: Vec<String> = workloads
-        .iter()
-        .map(|workload| {
-            let h = registry
-                .histogram(&format!("loadgen.query_us.{workload}"))
-                .expect("per-workload histogram registered above");
-            format!("\"{}\":{}", json_escape(workload), latency_json(&h))
-        })
-        .collect();
-    let report = format!(
-        "{{\"endpoint\":\"POST /v1/query\",\"sent\":{},\"wall_us\":{wall_us},\
-         \"target_rps\":{},\"achieved_rps\":{achieved_rps:.1},\"write_rate\":{},\
-         \"statuses\":{},\"errors\":{},\"latency_us\":{},\"reads\":{},\"writes\":{},\
-         \"workloads\":{{{}}}}}",
-        samples.len(),
-        args.rps,
-        args.write_rate,
-        status_json(&status_counts),
-        taxonomy_json(&errors),
-        latency_json(&latency),
-        side_json(&read_statuses, &read_errors, &read_latency),
-        side_json(&write_statuses, &write_errors, &write_latency),
-        per_workload.join(",")
-    );
-    std::fs::write(&path, report).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    let mut per_workload = Map::new();
+    for workload in &workloads {
+        let h = registry
+            .histogram(&format!("loadgen.query_us.{workload}"))
+            .expect("per-workload histogram registered above");
+        per_workload.push(workload.clone(), latency_json(&h));
+    }
+    let report = json!({
+        "endpoint": "POST /v1/query",
+        "sent": samples.len(),
+        "wall_us": wall_us,
+        "target_rps": args.rps,
+        // One decimal, as printed above.
+        "achieved_rps": (achieved_rps * 10.0).round() / 10.0,
+        "write_rate": args.write_rate,
+        "statuses": status_json(&status_counts),
+        "errors": errors,
+        "latency_us": latency_json(&latency),
+        "reads": side_json(&read_statuses, &read_errors, &read_latency),
+        "writes": side_json(&write_statuses, &write_errors, &write_latency),
+        "workloads": Json::Object(per_workload),
+    });
+    std::fs::write(&path, report.to_string())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!("loadgen report written: {}", path.display());
 
     if let Some(server) = booted {

@@ -26,6 +26,7 @@
 //! gate on serving-smoke output.
 
 use datalab_bench::telemetry_dir;
+use datalab_json::json;
 use datalab_server::Json;
 use datalab_telemetry::burn_rate;
 use std::path::PathBuf;
@@ -187,23 +188,28 @@ fn judge(report: &Json, args: &Args) -> Result<Verdict, String> {
     })
 }
 
-fn verdict_json(v: &Verdict, args: &Args) -> String {
-    format!(
-        "{{\"targets\":{{\"availability\":{},\"latency_threshold_ms\":{},\"latency_goal\":{}}},\
-         \"total\":{},\"bad\":{},\"availability\":{:.6},\"availability_burn\":{:.3},\
-         \"fast_enough\":{},\"latency_ok_ratio\":{:.6},\"latency_burn\":{:.3},\"pass\":{}}}",
-        args.availability,
-        args.latency_threshold_ms,
-        args.latency_goal,
-        v.total,
-        v.bad,
-        v.availability,
-        v.availability_burn,
-        v.fast_enough,
-        v.latency_ok_ratio,
-        v.latency_burn,
-        v.pass
-    )
+/// The verdict as the JSON report. Ratios keep six decimals and burn
+/// rates three, as the printed report rounds them.
+fn verdict_json(v: &Verdict, args: &Args) -> Json {
+    let round = |x: f64, decimals: i32| {
+        let scale = 10f64.powi(decimals);
+        (x * scale).round() / scale
+    };
+    json!({
+        "targets": {
+            "availability": args.availability,
+            "latency_threshold_ms": args.latency_threshold_ms,
+            "latency_goal": args.latency_goal,
+        },
+        "total": v.total,
+        "bad": v.bad,
+        "availability": round(v.availability, 6),
+        "availability_burn": round(v.availability_burn, 3),
+        "fast_enough": v.fast_enough,
+        "latency_ok_ratio": round(v.latency_ok_ratio, 6),
+        "latency_burn": round(v.latency_burn, 3),
+        "pass": v.pass,
+    })
 }
 
 fn run() -> Result<u8, String> {
@@ -240,7 +246,7 @@ fn run() -> Result<u8, String> {
             .map_err(|e| format!("cannot create target/telemetry: {e}"))?
             .join("slo_report.json"),
     };
-    std::fs::write(&path, verdict_json(&verdict, &args))
+    std::fs::write(&path, verdict_json(&verdict, &args).to_string())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!("slo report written: {}", path.display());
 

@@ -46,7 +46,7 @@ pub fn write_metrics_snapshot(bench_name: &str, telemetry: &Telemetry) -> Option
         }
     };
     let path = dir.join(format!("{bench_name}_telemetry.json"));
-    match std::fs::write(&path, telemetry.snapshot_json()) {
+    match std::fs::write(&path, telemetry.snapshot_json().to_string()) {
         Ok(()) => {
             println!("telemetry snapshot: {}", path.display());
             Some(path)

@@ -1204,8 +1204,7 @@ east,5
             .all(|a| a.stage != "unattributed"));
 
         // Exporters: the Chrome trace is valid JSON with complete events.
-        let trace: datalab_json::Value =
-            datalab_json::from_str(&r.telemetry.chrome_trace()).unwrap();
+        let trace = datalab_telemetry::chrome_trace(&r.telemetry.spans);
         let events = trace["traceEvents"].as_array().unwrap();
         assert!(events.len() >= 5);
         for e in events {
@@ -1213,7 +1212,7 @@ east,5
             assert!(e["ts"].is_u64() && e["dur"].is_u64());
         }
         let summary_json: datalab_json::Value =
-            datalab_json::from_str(&r.telemetry.to_json()).unwrap();
+            datalab_json::from_str(&datalab_json::to_string(&r.telemetry)).unwrap();
         assert!(summary_json["spans"].is_array());
         assert!(r.telemetry.render().contains("query"));
 

@@ -27,7 +27,6 @@ mod parse;
 mod write;
 
 pub use convert::{FromJson, ToJson};
-pub use write::escape;
 
 use std::fmt;
 
@@ -101,17 +100,6 @@ impl PartialEq for Number {
                 (Some(a), Some(b)) => a == b,
                 _ => self.as_u64() == other.as_u64(),
             },
-        }
-    }
-}
-
-impl fmt::Display for Number {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.repr {
-            Repr::I(v) => write!(f, "{v}"),
-            Repr::U(v) => write!(f, "{v}"),
-            Repr::F(v) if v.is_finite() => write!(f, "{v:?}"),
-            Repr::F(_) => f.write_str("null"),
         }
     }
 }

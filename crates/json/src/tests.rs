@@ -190,7 +190,7 @@ fn escapes_match_the_short_forms() {
         "\"q\\\"b\\\\n\\nr\\rt\\tb\\bf\\fz\\u0001é🦀\""
     );
     assert_eq!(parse(&json!(s).to_string()), json!(s));
-    assert_eq!(escape("plain"), "plain");
+    assert_eq!(json!("plain").to_string(), "\"plain\"");
 }
 
 #[test]

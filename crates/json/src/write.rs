@@ -1,10 +1,26 @@
-//! Compact and indented JSON text, and the string escape every
-//! hand-written JSON producer in the workspace shares.
+//! Compact and indented JSON text: the one place in the workspace that
+//! decides string escaping and number text.
 
-use crate::Value;
-use std::fmt::Write;
+use crate::{Number, Repr, Value};
+use std::fmt::{self, Write};
 
-/// Appends `s` to `out`, escaped as [`escape`] does it.
+impl fmt::Display for Number {
+    /// Integers exactly; finite floats in their shortest round-trip form
+    /// (`{:?}`, always with a decimal point or exponent); non-finite
+    /// floats as `null`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.repr {
+            Repr::I(v) => write!(f, "{v}"),
+            Repr::U(v) => write!(f, "{v}"),
+            Repr::F(v) if v.is_finite() => write!(f, "{v:?}"),
+            Repr::F(_) => f.write_str("null"),
+        }
+    }
+}
+
+/// Appends `s` to `out`, escaped for use between JSON double quotes:
+/// `"` and `\` are backslash-escaped, `\n \r \t \b \f` use their short
+/// forms, and other control characters use `\u00XX`.
 fn escape_into(s: &str, out: &mut String) {
     let mut run = 0;
     for (i, c) in s.char_indices() {
@@ -28,15 +44,6 @@ fn escape_into(s: &str, out: &mut String) {
         run = i + c.len_utf8();
     }
     out.push_str(&s[run..]);
-}
-
-/// `s` escaped for use between JSON double quotes: `"` and `\` are
-/// backslash-escaped, `\n \r \t \b \f` use their short forms, and
-/// other control characters use `\u00XX`.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(s, &mut out);
-    out
 }
 
 fn quoted(s: &str, out: &mut String) {

@@ -7,6 +7,7 @@
 //! in the deployments the paper describes, and the load generator speaks
 //! the same dialect.
 
+use datalab_json::Value;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
@@ -202,13 +203,14 @@ pub struct Response {
 }
 
 impl Response {
-    /// A JSON response with the given status and body.
-    pub fn json(status: u16, body: impl Into<String>) -> Response {
+    /// A JSON response with the given status and body. The body is a
+    /// document tree, so its text always comes from the codec.
+    pub fn json(status: u16, body: Value) -> Response {
         Response {
             status,
             content_type: "application/json".to_string(),
             headers: Vec::new(),
-            body: body.into(),
+            body: body.to_string(),
         }
     }
 
@@ -270,6 +272,7 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datalab_json::json;
     use std::net::{TcpListener, TcpStream};
     use std::thread;
 
@@ -341,7 +344,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            Response::json(429, "{\"error\":{\"kind\":\"overloaded\"}}")
+            Response::json(429, json!({"error": {"kind": "overloaded"}}))
                 .with_header("Retry-After", "1")
                 .write_to(&mut stream)
                 .unwrap();

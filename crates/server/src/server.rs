@@ -25,14 +25,14 @@ use crate::admission::{JobQueue, TenantGate};
 use crate::http::{linger_close, read_request, HttpError, Request, Response};
 use crate::store::{SessionStore, StoreConfig};
 use datalab_core::{BreakerState, DataLab, DataLabConfig, RequestContext, LATENCY_BUCKETS_US};
-use datalab_json::{escape as json_escape, Value as Json};
+use datalab_json::{json, Map, Value as Json};
 use datalab_store::{
     DurabilityConfig, DurableStore, FaultDisk, FaultDiskConfig, FsyncPolicy, SessionRecord,
 };
 use datalab_telemetry::{
-    chrome_trace_json, event_json, folded_stacks, metrics_prometheus, publish_alloc_metrics,
-    span_json, EventKind, ProfileWeight, SloTargets, SloTracker, SloWindows, SpanNode, Telemetry,
-    TenantSlo, TraceId, TraceRecord, TraceStore, TraceStorePolicy, TraceSummary, WindowSli,
+    chrome_trace, folded_stacks, metrics_prometheus, publish_alloc_metrics, EventKind,
+    ProfileWeight, SloTargets, SloTracker, SloWindows, SpanNode, Telemetry, TenantSlo, TraceId,
+    TraceRecord, TraceStore, TraceStorePolicy, TraceSummary, WindowSli,
 };
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -491,91 +491,71 @@ fn health(inner: &Arc<ServerInner>) -> Response {
     inner.telemetry.metrics().incr("server.requests.health", 1);
     // Per-tenant circuit-breaker states, from the gauges each query
     // refreshes. Empty until a tenant has queried.
-    let snapshot = inner.telemetry.metrics().snapshot();
-    let breakers: Vec<String> = snapshot
-        .gauges
-        .iter()
-        .filter_map(|(name, value)| {
-            let tenant = name.strip_prefix("llm.breaker.state.")?;
-            Some(format!(
-                "\"{}\":\"{}\"",
-                json_escape(tenant),
-                BreakerState::from_gauge(*value).as_str()
-            ))
-        })
-        .collect();
+    let mut breakers = Map::new();
+    for (name, value) in inner.telemetry.metrics().snapshot().gauges {
+        if let Some(tenant) = name.strip_prefix("llm.breaker.state.") {
+            let state = BreakerState::from_gauge(value).as_str();
+            breakers.push(tenant.to_string(), json!(state));
+        }
+    }
     // Per-tenant SLO burn rates over the fast/slow windows. Empty until
     // a tenant has an admitted query on record.
-    let slo: Vec<String> = inner
-        .slo
-        .report()
-        .iter()
-        .map(|(tenant, report)| format!("\"{}\":{}", json_escape(tenant), tenant_slo_json(report)))
-        .collect();
+    let mut slo = Map::new();
+    for (tenant, report) in inner.slo.report() {
+        slo.push(tenant, tenant_slo_json(&report));
+    }
     let targets = inner.slo.targets();
     // Write-path health: the durable store's read-only flag, failure
     // counters, and fsync backlog. `null` without a data_dir.
-    let storage = match &inner.durable {
-        Some(durable) => {
-            let h = durable.storage_health();
-            format!(
-                "{{\"read_only\":{},\"consecutive_failures\":{},\"flush_errors\":{},\
-                 \"fsync_backlog_bytes\":{},\"last_error\":{}}}",
-                h.read_only,
-                h.consecutive_failures,
-                h.flush_errors,
-                h.fsync_backlog_bytes,
-                match &h.last_error {
-                    Some(e) => format!("\"{}\"", json_escape(e)),
-                    None => "null".to_string(),
-                }
-            )
-        }
-        None => "null".to_string(),
-    };
+    let storage = inner.durable.as_ref().map(|durable| {
+        let h = durable.storage_health();
+        json!({
+            "read_only": h.read_only,
+            "consecutive_failures": h.consecutive_failures,
+            "flush_errors": h.flush_errors,
+            "fsync_backlog_bytes": h.fsync_backlog_bytes,
+            "last_error": h.last_error,
+        })
+    });
     Response::json(
         200,
-        format!(
-            "{{\"status\":\"ok\",\"uptime_us\":{},\"sessions\":{},\"queue_depth\":{},\
-             \"breakers\":{{{}}},\"storage\":{},\
-             \"slo_targets\":{{\"availability\":{},\"latency_threshold_us\":{},\
-             \"latency_goal\":{}}},\"slo\":{{{}}}}}",
-            inner.started.elapsed().as_micros(),
-            inner.store.len(),
-            inner.queue.depth(),
-            breakers.join(","),
-            storage,
-            targets.availability,
-            targets.latency_threshold_us,
-            targets.latency_goal,
-            slo.join(",")
-        ),
+        json!({
+            "status": "ok",
+            "uptime_us": inner.started.elapsed().as_micros() as u64,
+            "sessions": inner.store.len(),
+            "queue_depth": inner.queue.depth(),
+            "breakers": Json::Object(breakers),
+            "storage": storage,
+            "slo_targets": {
+                "availability": targets.availability,
+                "latency_threshold_us": targets.latency_threshold_us,
+                "latency_goal": targets.latency_goal,
+            },
+            "slo": Json::Object(slo),
+        }),
     )
 }
 
 /// One SLI window as JSON.
-fn window_json(w: &WindowSli) -> String {
-    format!(
-        "{{\"requests\":{},\"good\":{},\"fast_enough\":{},\"availability\":{},\
-         \"latency_ok_ratio\":{},\"availability_burn\":{},\"latency_burn\":{}}}",
-        w.requests,
-        w.good,
-        w.fast_enough,
-        w.availability,
-        w.latency_ok_ratio,
-        w.availability_burn,
-        w.latency_burn
-    )
+fn window_json(w: &WindowSli) -> Json {
+    json!({
+        "requests": w.requests,
+        "good": w.good,
+        "fast_enough": w.fast_enough,
+        "availability": w.availability,
+        "latency_ok_ratio": w.latency_ok_ratio,
+        "availability_burn": w.availability_burn,
+        "latency_burn": w.latency_burn,
+    })
 }
 
 /// A tenant's fast/slow SLO windows plus the multi-window verdict.
-fn tenant_slo_json(t: &TenantSlo) -> String {
-    format!(
-        "{{\"fast\":{},\"slow\":{},\"budget_exhausted\":{}}}",
-        window_json(&t.fast),
-        window_json(&t.slow),
-        t.budget_exhausted()
-    )
+fn tenant_slo_json(t: &TenantSlo) -> Json {
+    json!({
+        "fast": window_json(&t.fast),
+        "slow": window_json(&t.slow),
+        "budget_exhausted": t.budget_exhausted(),
+    })
 }
 
 /// The tenant component of a per-tenant `slo.*` gauge name; `None` for
@@ -720,21 +700,19 @@ fn query_param<'a>(target: &'a str, name: &str) -> Option<&'a str> {
 }
 
 /// One retained trace's summary line for the `/v1/traces` index.
-fn trace_summary_json(t: &TraceSummary) -> String {
-    format!(
-        "{{\"trace_id\":\"{}\",\"tenant\":\"{}\",\"workload\":\"{}\",\"status\":{},\
-         \"ok\":{},\"duration_us\":{},\"reason\":\"{}\",\"seq\":{},\"spans\":{},\"events\":{}}}",
-        json_escape(&t.trace_id),
-        json_escape(&t.tenant),
-        json_escape(&t.workload),
-        t.status,
-        t.ok,
-        t.duration_us,
-        t.reason.as_str(),
-        t.seq,
-        t.spans,
-        t.events
-    )
+fn trace_summary_json(t: &TraceSummary) -> Json {
+    json!({
+        "trace_id": t.trace_id,
+        "tenant": t.tenant,
+        "workload": t.workload,
+        "status": t.status,
+        "ok": t.ok,
+        "duration_us": t.duration_us,
+        "reason": t.reason.as_str(),
+        "seq": t.seq,
+        "spans": t.spans,
+        "events": t.events,
+    })
 }
 
 /// `GET /v1/traces[?tenant=..&status=ok|error&limit=N]`: newest-first
@@ -762,7 +740,7 @@ fn traces_index(inner: &Arc<ServerInner>, request: &Request, trace: &TraceId) ->
             }
         },
     };
-    let summaries: Vec<String> = inner
+    let summaries: Vec<Json> = inner
         .traces
         .summaries(tenant, only_errors, limit)
         .iter()
@@ -770,12 +748,11 @@ fn traces_index(inner: &Arc<ServerInner>, request: &Request, trace: &TraceId) ->
         .collect();
     Response::json(
         200,
-        format!(
-            "{{\"seen\":{},\"retained\":{},\"traces\":[{}]}}",
-            inner.traces.seen(),
-            inner.traces.len(),
-            summaries.join(",")
-        ),
+        json!({
+            "seen": inner.traces.seen(),
+            "retained": inner.traces.len(),
+            "traces": summaries,
+        }),
     )
 }
 
@@ -792,25 +769,20 @@ fn trace_detail(inner: &Arc<ServerInner>, id: &str, trace: &TraceId) -> Response
         return error_response(404, "trace_not_found", &detail, trace);
     };
     let record = &stored.record;
-    let spans: Vec<String> = record.spans.iter().map(span_json).collect();
-    let events: Vec<String> = record.events.iter().map(event_json).collect();
     Response::json(
         200,
-        format!(
-            "{{\"trace_id\":\"{}\",\"tenant\":\"{}\",\"workload\":\"{}\",\"status\":{},\
-             \"ok\":{},\"duration_us\":{},\"reason\":\"{}\",\
-             \"spans\":[{}],\"events\":[{}],\"chrome_trace\":{}}}",
-            json_escape(&record.trace_id),
-            json_escape(&record.tenant),
-            json_escape(&record.workload),
-            record.status,
-            record.ok,
-            record.duration_us,
-            stored.reason.as_str(),
-            spans.join(","),
-            events.join(","),
-            chrome_trace_json(&record.spans)
-        ),
+        json!({
+            "trace_id": record.trace_id,
+            "tenant": record.tenant,
+            "workload": record.workload,
+            "status": record.status,
+            "ok": record.ok,
+            "duration_us": record.duration_us,
+            "reason": stored.reason.as_str(),
+            "spans": record.spans,
+            "events": record.events,
+            "chrome_trace": chrome_trace(&record.spans),
+        }),
     )
 }
 
@@ -937,27 +909,21 @@ fn tables_index(inner: &Arc<ServerInner>, request: &Request, trace: &TraceId) ->
     let session = inner.store.session(tenant);
     let lab = session.lock().unwrap_or_else(|p| p.into_inner());
     let db = lab.database();
-    let tables: Vec<String> = db
+    let tables: Vec<Json> = db
         .table_names()
         .iter()
         .filter_map(|name| {
             let df = db.get(name).ok()?;
-            Some(format!(
-                "{{\"name\":\"{}\",\"rows\":{},\"columns\":{}}}",
-                json_escape(name),
-                df.n_rows(),
-                df.schema().fields().len()
-            ))
+            Some(json!({
+                "name": name,
+                "rows": df.n_rows(),
+                "columns": df.schema().fields().len(),
+            }))
         })
         .collect();
     Response::json(
         200,
-        format!(
-            "{{\"tenant\":\"{}\",\"count\":{},\"tables\":[{}]}}",
-            json_escape(tenant),
-            tables.len(),
-            tables.join(",")
-        ),
+        json!({"tenant": tenant, "count": tables.len(), "tables": tables}),
     )
 }
 
@@ -996,12 +962,7 @@ fn tables(inner: &Arc<ServerInner>, request: &Request, trace: &TraceId) -> Respo
             let rows = lab.database().get(name).map(|df| df.n_rows()).unwrap_or(0);
             Response::json(
                 200,
-                format!(
-                    "{{\"ok\":true,\"tenant\":\"{}\",\"table\":\"{}\",\"rows\":{}}}",
-                    json_escape(&tenant),
-                    json_escape(name),
-                    rows
-                ),
+                json!({"ok": true, "tenant": tenant, "table": name, "rows": rows}),
             )
         }
         Err(e) => error_response(400, "table_register", &e.to_string(), trace),
@@ -1076,12 +1037,15 @@ fn ingest(inner: &Arc<ServerInner>, request: &Request, trace: &TraceId, name: &s
             .incr("server.ingest.deduplicated", 1);
         return Response::json(
             200,
-            format!(
-                "{{\"ok\":true,\"tenant\":\"{}\",\"table\":\"{}\",\"deduplicated\":true,\
-                 \"appended\":0,\"updated\":0,\"invalidated_cells\":0}}",
-                json_escape(&tenant),
-                json_escape(name)
-            ),
+            json!({
+                "ok": true,
+                "tenant": tenant,
+                "table": name,
+                "deduplicated": true,
+                "appended": 0,
+                "updated": 0,
+                "invalidated_cells": 0,
+            }),
         );
     }
 
@@ -1163,15 +1127,15 @@ fn ingest(inner: &Arc<ServerInner>, request: &Request, trace: &TraceId, name: &s
                 .incr("dag.invalidated", outcome.invalidated_cells.len() as u64);
             Response::json(
                 200,
-                format!(
-                    "{{\"ok\":true,\"tenant\":\"{}\",\"table\":\"{}\",\"deduplicated\":false,\
-                     \"appended\":{},\"updated\":{},\"invalidated_cells\":{}}}",
-                    json_escape(&tenant),
-                    json_escape(name),
-                    outcome.appended,
-                    outcome.updated,
-                    outcome.invalidated_cells.len()
-                ),
+                json!({
+                    "ok": true,
+                    "tenant": tenant,
+                    "table": name,
+                    "deduplicated": false,
+                    "appended": outcome.appended,
+                    "updated": outcome.updated,
+                    "invalidated_cells": outcome.invalidated_cells.len(),
+                }),
             )
         }
         Err(e) => error_response(500, "ingest_apply", &e.to_string(), trace),
@@ -1327,38 +1291,24 @@ fn query(
         inner.telemetry.metrics().incr("server.timeouts", 1);
         error_response(504, "deadline", "deadline exceeded during execution", trace)
     } else {
-        let plan: Vec<String> = response
-            .plan
-            .iter()
-            .map(|role| format!("\"{}\"", json_escape(role)))
-            .collect();
-        let rows = response
-            .frame
-            .as_ref()
-            .map(|df| df.n_rows().to_string())
-            .unwrap_or_else(|| "null".to_string());
+        let rows = response.frame.as_ref().map(|df| df.n_rows());
         Response::json(
             200,
-            format!(
-                "{{\"tenant\":\"{}\",\"workload\":\"{}\",\"trace_id\":\"{}\",\
-                 \"success\":{},\"degraded\":{},\
-                 \"answer\":\"{}\",\
-                 \"rewritten_query\":\"{}\",\"plan\":[{}],\"tokens\":{},\"duration_us\":{},\
-                 \"cells_appended\":{},\"chart\":{},\"rows\":{}}}",
-                json_escape(&tenant),
-                json_escape(workload),
-                json_escape(trace.as_str()),
-                response.success,
-                response.degraded,
-                json_escape(&response.answer),
-                json_escape(&response.rewritten_query),
-                plan.join(","),
-                tokens,
-                duration_us,
-                response.new_cells.len(),
-                response.chart.is_some(),
-                rows
-            ),
+            json!({
+                "tenant": tenant,
+                "workload": workload,
+                "trace_id": trace.as_str(),
+                "success": response.success,
+                "degraded": response.degraded,
+                "answer": response.answer,
+                "rewritten_query": response.rewritten_query,
+                "plan": response.plan,
+                "tokens": tokens,
+                "duration_us": duration_us,
+                "cells_appended": response.new_cells.len(),
+                "chart": response.chart.is_some(),
+                "rows": rows,
+            }),
         )
     };
 
@@ -1395,11 +1345,6 @@ fn query(
 fn error_response(status: u16, kind: &str, detail: &str, trace: &TraceId) -> Response {
     Response::json(
         status,
-        format!(
-            "{{\"error\":{{\"kind\":\"{}\",\"detail\":\"{}\",\"trace_id\":\"{}\"}}}}",
-            json_escape(kind),
-            json_escape(detail),
-            json_escape(trace.as_str())
-        ),
+        json!({"error": {"kind": kind, "detail": detail, "trace_id": trace.as_str()}}),
     )
 }

@@ -1,110 +1,153 @@
-//! Exporters: JSON metric snapshots and Chrome `trace_event` files.
+//! Exporters: the JSON forms of spans, events, token attribution and
+//! metric snapshots, Chrome `trace_event` files, and the plain-text and
+//! Prometheus expositions.
 //!
-//! The JSON here is written by hand: shapes are small and fixed, and
-//! every string passes through the workspace codec's [`json_escape`].
+//! Every JSON export is a [`ToJson`] impl or returns a [`Value`], so the
+//! workspace codec alone decides quoting, escaping and number text.
 
-use crate::metrics::MetricsSnapshot;
+use crate::events::Event;
+use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::span::SpanNode;
-use crate::summary::AttributedUsage;
-use datalab_json::escape as json_escape;
+use crate::summary::{AttributedUsage, QuerySummary};
+use datalab_json::{json, Map, ToJson, Value};
 
-/// Serialises a span forest as a Chrome `trace_event` JSON object —
+/// A span forest as a Chrome `trace_event` object —
 /// `{"traceEvents": [...]}` with one complete (`"ph": "X"`) event per
 /// span — loadable in `chrome://tracing` and Perfetto.
-pub fn chrome_trace_json(spans: &[SpanNode]) -> String {
+pub fn chrome_trace(spans: &[SpanNode]) -> Value {
     let mut events = Vec::new();
     for root in spans {
         push_chrome_events(root, &mut events);
     }
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
-        events.join(",")
-    )
+    let mut trace = Map::new();
+    trace.push("traceEvents".to_string(), Value::Array(events));
+    trace.push("displayTimeUnit".to_string(), json!("ms"));
+    Value::Object(trace)
 }
 
-fn push_chrome_events(node: &SpanNode, events: &mut Vec<String>) {
-    let args: Vec<String> = node
-        .attrs
-        .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-        .collect();
-    events.push(format!(
-        "{{\"name\":\"{}\",\"cat\":\"datalab\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":1,\"args\":{{{}}}}}",
-        json_escape(&node.name),
-        node.start_us,
-        node.dur_us,
-        args.join(",")
-    ));
+fn push_chrome_events(node: &SpanNode, events: &mut Vec<Value>) {
+    events.push(json!({
+        "name": node.name,
+        "cat": "datalab",
+        "ph": "X",
+        "ts": node.start_us,
+        "dur": node.dur_us,
+        "pid": 1,
+        "tid": 1,
+        "args": attrs_object(&node.attrs),
+    }));
     for c in &node.children {
         push_chrome_events(c, events);
     }
 }
 
-/// Serialises one span subtree as nested JSON
-/// (`{"name", "start_us", "dur_us", "cpu_us", "allocs", "alloc_bytes",
-/// "attrs", "children"}`).
-pub fn span_json(node: &SpanNode) -> String {
-    let attrs: Vec<String> = node
-        .attrs
-        .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-        .collect();
-    let children: Vec<String> = node.children.iter().map(span_json).collect();
-    format!(
-        "{{\"name\":\"{}\",\"start_us\":{},\"dur_us\":{},\"cpu_us\":{},\"allocs\":{},\"alloc_bytes\":{},\"attrs\":{{{}}},\"children\":[{}]}}",
-        json_escape(&node.name),
-        node.start_us,
-        node.dur_us,
-        node.cpu_us,
-        node.allocs,
-        node.alloc_bytes,
-        attrs.join(","),
-        children.join(",")
-    )
+/// Span attributes as an object. A key set twice keeps its first
+/// position and its last value, so the export always parses.
+fn attrs_object(attrs: &[(String, String)]) -> Value {
+    let mut fields = Map::new();
+    for (k, v) in attrs {
+        fields.insert(k.clone(), json!(v));
+    }
+    Value::Object(fields)
 }
 
-/// Serialises a metrics snapshot plus token attribution as one JSON
-/// object: `{"counters": {...}, "gauges": {...}, "histograms": {...},
-/// "attribution": [...]}`.
-pub fn metrics_json(snapshot: &MetricsSnapshot, attribution: &[AttributedUsage]) -> String {
-    let counters: Vec<String> = snapshot
-        .counters
-        .iter()
-        .map(|(n, v)| format!("\"{}\":{v}", json_escape(n)))
-        .collect();
-    let gauges: Vec<String> = snapshot
-        .gauges
-        .iter()
-        .map(|(n, v)| format!("\"{}\":{v}", json_escape(n)))
-        .collect();
-    let histograms: Vec<String> = snapshot
-        .histograms
-        .iter()
-        .map(|(n, h)| {
-            let bounds: Vec<String> = h.bounds.iter().map(u64::to_string).collect();
-            let counts: Vec<String> = h.counts.iter().map(u64::to_string).collect();
-            format!(
-                "\"{}\":{{\"bounds\":[{}],\"counts\":[{}],\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                json_escape(n),
-                bounds.join(","),
-                counts.join(","),
-                h.count,
-                h.sum,
-                h.max,
-                h.p50(),
-                h.p90(),
-                h.p99()
-            )
+/// Registry entries (distinct, name-sorted) as an object.
+fn entries_object<V: ToJson>(entries: &[(String, V)]) -> Value {
+    let mut fields = Map::new();
+    for (name, v) in entries {
+        fields.push(name.clone(), v.to_value());
+    }
+    Value::Object(fields)
+}
+
+impl ToJson for SpanNode {
+    /// The subtree as nested objects: `{"name", "start_us", "dur_us",
+    /// "cpu_us", "allocs", "alloc_bytes", "attrs", "children"}`.
+    fn to_value(&self) -> Value {
+        json!({
+            "name": self.name,
+            "start_us": self.start_us,
+            "dur_us": self.dur_us,
+            "cpu_us": self.cpu_us,
+            "allocs": self.allocs,
+            "alloc_bytes": self.alloc_bytes,
+            "attrs": attrs_object(&self.attrs),
+            "children": self.children,
         })
-        .collect();
-    let attribution: Vec<String> = attribution.iter().map(attribution_entry_json).collect();
-    format!(
-        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}},\"attribution\":[{}]}}",
-        counters.join(","),
-        gauges.join(","),
-        histograms.join(","),
-        attribution.join(",")
-    )
+    }
+}
+
+impl ToJson for Event {
+    /// `{"seq", "at_us", "kind", "detail"}`, plus `"trace"` when the
+    /// event was recorded under an active request trace.
+    fn to_value(&self) -> Value {
+        let mut event = json!({
+            "seq": self.seq,
+            "at_us": self.at_us,
+            "kind": self.kind.as_str(),
+            "detail": self.detail,
+        });
+        if let (Some(trace), Value::Object(fields)) = (&self.trace, &mut event) {
+            fields.push("trace".to_string(), json!(trace));
+        }
+        event
+    }
+}
+
+impl ToJson for AttributedUsage {
+    /// `{"stage", "agent", "calls", "prompt_tokens", "completion_tokens"}`.
+    fn to_value(&self) -> Value {
+        json!({
+            "stage": self.stage,
+            "agent": self.agent,
+            "calls": self.usage.calls,
+            "prompt_tokens": self.usage.prompt_tokens,
+            "completion_tokens": self.usage.completion_tokens,
+        })
+    }
+}
+
+impl ToJson for HistogramSnapshot {
+    /// `{"bounds", "counts", "count", "sum", "max", "p50", "p90", "p99"}`.
+    fn to_value(&self) -> Value {
+        json!({
+            "bounds": self.bounds,
+            "counts": self.counts,
+            "count": self.count,
+            "sum": self.sum,
+            "max": self.max,
+            "p50": self.p50(),
+            "p90": self.p90(),
+            "p99": self.p99(),
+        })
+    }
+}
+
+impl ToJson for MetricsSnapshot {
+    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`, each
+    /// keyed by metric name.
+    fn to_value(&self) -> Value {
+        json!({
+            "counters": entries_object(&self.counters),
+            "gauges": entries_object(&self.gauges),
+            "histograms": entries_object(&self.histograms),
+        })
+    }
+}
+
+impl ToJson for QuerySummary {
+    /// The whole summary: `{"spans", "attribution", "total"}`.
+    fn to_value(&self) -> Value {
+        json!({
+            "spans": self.spans,
+            "attribution": self.attribution,
+            "total": {
+                "prompt_tokens": self.total.prompt_tokens,
+                "completion_tokens": self.total.completion_tokens,
+                "calls": self.total.calls,
+            },
+        })
+    }
 }
 
 /// Renders a metrics snapshot as a plain-text exposition: one
@@ -186,40 +229,12 @@ pub fn metrics_prometheus(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// Serialises one flight-record event as JSON
-/// (`{"seq", "at_us", "kind", "detail"}`, plus `"trace"` when the event
-/// was recorded under an active request trace).
-pub fn event_json(e: &crate::events::Event) -> String {
-    let trace = match &e.trace {
-        Some(t) => format!(",\"trace\":\"{}\"", json_escape(t)),
-        None => String::new(),
-    };
-    format!(
-        "{{\"seq\":{},\"at_us\":{},\"kind\":\"{}\",\"detail\":\"{}\"{}}}",
-        e.seq,
-        e.at_us,
-        e.kind.as_str(),
-        json_escape(&e.detail),
-        trace
-    )
-}
-
-pub(crate) fn attribution_entry_json(a: &AttributedUsage) -> String {
-    format!(
-        "{{\"stage\":\"{}\",\"agent\":\"{}\",\"calls\":{},\"prompt_tokens\":{},\"completion_tokens\":{}}}",
-        json_escape(&a.stage),
-        json_escape(&a.agent),
-        a.usage.calls,
-        a.usage.prompt_tokens,
-        a.usage.completion_tokens
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
     use crate::summary::TokenUsage;
+    use datalab_json::to_string;
 
     fn node() -> SpanNode {
         SpanNode {
@@ -277,7 +292,7 @@ mod tests {
     fn exports_match_golden_bytes() {
         let node = awkward_node();
         assert_eq!(
-            span_json(&node),
+            to_string(&node),
             concat!(
                 r#"{"name":"q\"uery\\ é","start_us":5,"dur_us":100,"cpu_us":60,"allocs":12,"#,
                 r#""alloc_bytes":768,"attrs":{"q\tk":"say \"hi\"\n\u0001\u001f"#,
@@ -287,7 +302,7 @@ mod tests {
             )
         );
         assert_eq!(
-            chrome_trace_json(std::slice::from_ref(&node)),
+            chrome_trace(std::slice::from_ref(&node)).to_string(),
             concat!(
                 r#"{"traceEvents":[{"name":"q\"uery\\ é","cat":"datalab","ph":"X","ts":5,"#,
                 r#""dur":100,"pid":1,"tid":1,"args":{"q\tk":"say \"hi\"\n\u0001\u001f"#,
@@ -297,7 +312,7 @@ mod tests {
             )
         );
         assert_eq!(
-            chrome_trace_json(&[]),
+            chrome_trace(&[]).to_string(),
             r#"{"traceEvents":[],"displayTimeUnit":"ms"}"#
         );
 
@@ -309,7 +324,7 @@ mod tests {
             trace: None,
         };
         assert_eq!(
-            event_json(&event),
+            to_string(&event),
             concat!(
                 r#"{"seq":7,"at_us":1500,"kind":"sandbox_failure","detail":"parse \"bad\"\r\u0000"#,
                 "\u{2028}",
@@ -318,7 +333,7 @@ mod tests {
         );
         event.trace = Some("req\"9é".into());
         assert_eq!(
-            event_json(&event),
+            to_string(&event),
             concat!(
                 r#"{"seq":7,"at_us":1500,"kind":"sandbox_failure","detail":"parse \"bad\"\r\u0000"#,
                 "\u{2028}",
@@ -342,19 +357,27 @@ mod tests {
                 calls: 1,
             },
         }];
+        // `/v1/metrics` is the snapshot object plus an `attribution`
+        // array (`Telemetry::snapshot_json`).
         assert_eq!(
-            metrics_json(&m.snapshot(), &attribution),
+            to_string(&m.snapshot()),
             concat!(
                 r#"{"counters":{"llm.calls":2,"server.tenant.tokens.a\"é":40},"#,
                 r#""gauges":{"server.queue.depth":-5},"histograms":{"llm.call_tokens":"#,
                 r#"{"bounds":[10,100],"counts":[1,1,0],"count":2,"sum":49,"max":42,"#,
-                r#""p50":10,"p90":42,"p99":42}},"attribution":[{"stage":"exe\"cute\b","#,
-                r#""agent":"sql_agent ✓","calls":1,"prompt_tokens":40,"completion_tokens":2}]}"#
+                r#""p50":10,"p90":42,"p99":42}}}"#
             )
         );
         assert_eq!(
-            metrics_json(&MetricsRegistry::new().snapshot(), &[]),
-            r#"{"counters":{},"gauges":{},"histograms":{},"attribution":[]}"#
+            to_string(&attribution),
+            concat!(
+                r#"[{"stage":"exe\"cute\b","#,
+                r#""agent":"sql_agent ✓","calls":1,"prompt_tokens":40,"completion_tokens":2}]"#
+            )
+        );
+        assert_eq!(
+            to_string(&MetricsRegistry::new().snapshot()),
+            r#"{"counters":{},"gauges":{},"histograms":{}}"#
         );
 
         let summary = crate::summary::QuerySummary {
@@ -367,7 +390,7 @@ mod tests {
             },
         };
         assert_eq!(
-            summary.to_json(),
+            to_string(&summary),
             concat!(
                 r#"{"spans":[{"name":"plan","start_us":10,"dur_us":20,"cpu_us":0,"allocs":0,"#,
                 r#""alloc_bytes":0,"attrs":{},"children":[]}],"attribution":[{"stage":"exe\"cute\b","#,
@@ -378,15 +401,8 @@ mod tests {
     }
 
     #[test]
-    fn escape_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd\te\r"), "a\\\"b\\\\c\\nd\\te\\r");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
-    }
-
-    #[test]
     fn chrome_trace_emits_complete_events() {
-        let json = chrome_trace_json(&[node()]);
+        let json = chrome_trace(&[node()]).to_string();
         assert!(json.starts_with("{\"traceEvents\":["), "{json}");
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"name\":\"query\""));
@@ -398,8 +414,8 @@ mod tests {
     }
 
     #[test]
-    fn span_json_nests_children() {
-        let json = span_json(&node());
+    fn span_export_nests_children() {
+        let json = to_string(&node());
         assert!(json.contains("\"children\":[{\"name\":\"plan\""), "{json}");
         assert!(json.contains("\"cpu_us\":60"), "{json}");
         assert!(json.contains("\"allocs\":12"), "{json}");
@@ -447,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_includes_everything() {
+    fn metrics_export_includes_everything() {
         let m = MetricsRegistry::new();
         m.incr("llm.calls", 2);
         m.gauge_add("server.queue.depth", 5);
@@ -462,7 +478,7 @@ mod tests {
                 calls: 1,
             },
         }];
-        let json = metrics_json(&m.snapshot(), &attribution);
+        let json = format!("{} {}", to_string(&m.snapshot()), to_string(&attribution));
         assert!(json.contains("\"llm.calls\":2"), "{json}");
         assert!(json.contains("\"gauges\":{\"server.queue.depth\":5}"));
         assert!(json.contains("\"bounds\":[10,100]"));
@@ -485,7 +501,7 @@ mod tests {
 
         // JSON exporter (the /v1/metrics shape) carries the new names,
         // zero-valued counters included.
-        let json = metrics_json(&snapshot, &[]);
+        let json = to_string(&snapshot);
         assert!(json.contains("\"llm.faults.transport\":3"), "{json}");
         assert!(json.contains("\"llm.faults.timeout\":0"), "{json}");
         assert!(json.contains("\"llm.breaker.trips\":1"), "{json}");
@@ -524,7 +540,7 @@ mod tests {
     }
 
     #[test]
-    fn event_json_escapes_the_detail() {
+    fn event_export_escapes_the_detail() {
         let mut e = crate::events::Event {
             seq: 7,
             at_us: 1500,
@@ -532,13 +548,13 @@ mod tests {
             detail: "parse error: \"bad\" line".into(),
             trace: None,
         };
-        let json = event_json(&e);
+        let json = to_string(&e);
         assert!(json.starts_with("{\"seq\":7,\"at_us\":1500"), "{json}");
         assert!(json.contains("\"kind\":\"sandbox_failure\""));
         assert!(json.contains("\\\"bad\\\""));
         assert!(!json.contains("\"trace\""));
         e.trace = Some("req-9".into());
-        let json = event_json(&e);
+        let json = to_string(&e);
         assert!(json.contains("\"trace\":\"req-9\""), "{json}");
     }
 }

@@ -38,9 +38,7 @@ pub use events::{
     is_error_kind, render_flight_record, Event, EventKind, EventLog, DEFAULT_EVENT_CAPACITY,
     MAX_EVENT_DETAIL_BYTES,
 };
-pub use export::{
-    chrome_trace_json, event_json, metrics_json, metrics_prometheus, metrics_text, span_json,
-};
+pub use export::{chrome_trace, metrics_prometheus, metrics_text};
 pub use metrics::{
     Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, DEFAULT_BUCKETS,
 };
@@ -56,6 +54,7 @@ pub use tracestore::{
     RetainReason, StoredTrace, TraceRecord, TraceStore, TraceStorePolicy, TraceSummary,
 };
 
+use datalab_json::{ToJson, Value};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -281,12 +280,17 @@ impl Telemetry {
         }
     }
 
-    /// Current metrics + attribution as one JSON object (see
-    /// [`metrics_json`]). Allocator totals are refreshed into `alloc.*`
-    /// instruments first, so snapshots always carry current counts.
-    pub fn snapshot_json(&self) -> String {
+    /// Current metrics + attribution as one JSON object: the
+    /// [`MetricsSnapshot`] object with an `"attribution"` array appended.
+    /// Allocator totals are refreshed into `alloc.*` instruments first,
+    /// so snapshots always carry current counts.
+    pub fn snapshot_json(&self) -> Value {
         publish_alloc_metrics(&self.metrics);
-        metrics_json(&self.metrics.snapshot(), &self.attribution())
+        let mut body = self.metrics.snapshot().to_value();
+        if let Value::Object(fields) = &mut body {
+            fields.push("attribution".to_string(), self.attribution().to_value());
+        }
+        body
     }
 }
 
@@ -593,7 +597,15 @@ mod tests {
     #[test]
     fn snapshot_json_carries_alloc_instruments() {
         let t = Telemetry::new();
-        let json = t.snapshot_json();
+        let body = t.snapshot_json();
+        let keys: Vec<&str> = body
+            .as_object()
+            .expect("object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["counters", "gauges", "histograms", "attribution"]);
+        let json = body.to_string();
         // Always present (zero when no counting allocator is installed).
         assert!(json.contains("\"alloc.allocs\":"), "{json}");
         assert!(json.contains("\"alloc.live_bytes\":"), "{json}");

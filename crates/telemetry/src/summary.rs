@@ -1,7 +1,6 @@
 //! Per-query summaries: the span tree, token attribution, and totals for
 //! one `query()` call, packaged for attachment to a response.
 
-use crate::export::{attribution_entry_json, chrome_trace_json, span_json};
 use crate::span::SpanNode;
 
 /// Token usage for one attribution bucket (or a grand total).
@@ -82,29 +81,6 @@ impl QuerySummary {
         self.root()
             .map(|r| r.children.iter().map(|c| c.name.as_str()).collect())
             .unwrap_or_default()
-    }
-
-    /// The summary's span forest as Chrome `trace_event` JSON.
-    pub fn chrome_trace(&self) -> String {
-        chrome_trace_json(&self.spans)
-    }
-
-    /// The whole summary (spans + attribution + totals) as JSON.
-    pub fn to_json(&self) -> String {
-        let spans: Vec<String> = self.spans.iter().map(span_json).collect();
-        let attribution: Vec<String> = self
-            .attribution
-            .iter()
-            .map(attribution_entry_json)
-            .collect();
-        format!(
-            "{{\"spans\":[{}],\"attribution\":[{}],\"total\":{{\"prompt_tokens\":{},\"completion_tokens\":{},\"calls\":{}}}}}",
-            spans.join(","),
-            attribution.join(","),
-            self.total.prompt_tokens,
-            self.total.completion_tokens,
-            self.total.calls
-        )
     }
 
     /// Human-readable report: the indented span tree followed by a token
@@ -258,9 +234,9 @@ mod tests {
     }
 
     #[test]
-    fn to_json_and_chrome_trace_have_expected_shape() {
+    fn json_and_chrome_trace_have_expected_shape() {
         let s = summary();
-        let json = s.to_json();
+        let json = datalab_json::to_string(&s);
         assert!(
             json.starts_with("{\"spans\":[{\"name\":\"query\""),
             "{json}"
@@ -269,7 +245,7 @@ mod tests {
         assert!(
             json.ends_with("\"total\":{\"prompt_tokens\":40,\"completion_tokens\":7,\"calls\":2}}")
         );
-        let trace = s.chrome_trace();
+        let trace = crate::chrome_trace(&s.spans).to_string();
         assert!(trace.contains("\"ph\":\"X\""));
         assert!(trace.contains("\"name\":\"execute\""));
     }

@@ -132,16 +132,9 @@ fn snapshot_exports_live_alloc_counters() {
     drop(keep);
     // With the allocator installed the counters are real, not zero.
     let field = |name: &str| {
-        let key = format!("\"{name}\":");
-        let at = json
-            .find(&key)
-            .unwrap_or_else(|| panic!("{name} missing: {json}"));
-        json[at + key.len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse::<u64>()
-            .expect("numeric counter")
+        json["counters"][name]
+            .as_u64()
+            .unwrap_or_else(|| panic!("{name} missing: {json}"))
     };
     assert!(field("alloc.allocs") > 0);
     assert!(field("alloc.bytes") > 0);

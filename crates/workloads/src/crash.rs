@@ -148,11 +148,6 @@ impl CrashReport {
     pub fn ok(&self) -> bool {
         self.failures.is_empty() && self.report_match && self.state_match
     }
-
-    /// Serialises the report to JSON for the bench artifact writer.
-    pub fn to_json(&self) -> String {
-        datalab_json::to_string(self)
-    }
 }
 
 /// The pre-crash truth captured for one tenant, compared against its

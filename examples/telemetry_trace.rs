@@ -11,7 +11,7 @@
 
 use datalab::core::{DataLab, DataLabConfig};
 use datalab::frame::{DataFrame, DataType, Value};
-use datalab::telemetry::render_flight_record;
+use datalab::telemetry::{chrome_trace, render_flight_record};
 
 fn main() {
     let n = 18;
@@ -54,7 +54,7 @@ fn main() {
         print!("{}", r.telemetry.render());
 
         // Machine-readable exports ride along on the same summary.
-        let trace = r.telemetry.chrome_trace();
+        let trace = chrome_trace(&r.telemetry.spans).to_string();
         println!(
             "chrome trace: {} bytes, {} events (load at chrome://tracing)",
             trace.len(),

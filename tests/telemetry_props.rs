@@ -79,7 +79,8 @@ proptest! {
         // The Chrome trace export is valid JSON with complete (ph:"X")
         // events carrying ts + dur.
         let trace: datalab_json::Value =
-            datalab_json::from_str(&r.telemetry.chrome_trace()).expect("valid trace JSON");
+            datalab_json::from_str(&datalab::telemetry::chrome_trace(&r.telemetry.spans).to_string())
+                .expect("valid trace JSON");
         let events = trace["traceEvents"].as_array().expect("traceEvents array");
         prop_assert!(events.len() >= root.total_spans());
         for e in events {
